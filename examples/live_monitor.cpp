@@ -24,23 +24,22 @@ using namespace wm;
 namespace {
 
 /// Prints every monitor event as it fires (single-threaded delivery —
-/// no locking needed, unlike an engine sink with shards > 0).
+/// no locking needed, unlike a MonitorFleet sink).
 class PrintSink final : public engine::EventSink {
  public:
   void on_question_opened(const engine::QuestionOpenedEvent& event) override {
     std::printf("[%s] %s: Q%zu appeared (record %u B) — assuming DEFAULT "
                 "until overridden\n",
                 event.question.question_time.to_string().c_str(),
-                std::string(event.client).c_str(), event.question.index + 1,
+                std::string(event.client).c_str(), event.question.index,
                 event.record_length);
   }
   void on_choice_inferred(const engine::ChoiceInferredEvent& event) override {
-    if (!event.final) return;
     const bool overridden =
         event.question.choice == story::Choice::kNonDefault;
     std::printf("[%s] %s: Q%zu FINAL: %s (confidence %.2f)\n",
                 event.at.to_string().c_str(),
-                std::string(event.client).c_str(), event.question.index + 1,
+                std::string(event.client).c_str(), event.question.index,
                 overridden ? "NON-DEFAULT branch" : "default branch",
                 event.question.confidence);
     if (overridden) ++overrides_;

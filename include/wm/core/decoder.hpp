@@ -60,8 +60,9 @@ struct DecodeOptions {
   /// Duplicate-suppression window for adjacent type-1 classifications
   /// (retransmission artifacts / band misfires).
   util::Duration min_question_gap = util::Duration::millis(120);
-  /// Stream gaps affecting this viewer's traffic, in any order (the
-  /// decoder sorts a copy).
+  /// Stream gaps affecting this viewer's traffic, in any order
+  /// (decode_choices sorts a copy; ChoiceDecoder takes them through
+  /// on_gap instead).
   std::vector<GapSpan> gaps;
   /// A gap this close before a question — or anywhere before the next
   /// question — may have swallowed one of its markers.
@@ -73,14 +74,94 @@ struct DecodeOptions {
   double gap_window_confidence = 0.6;
 };
 
-/// Decode a classified observation sequence with gap awareness:
+/// The §III rule, one record at a time: the single decoder behind both
+/// decode_choices and monitor::ContinuousMonitor. It holds one viewer's
+/// running state — the duplicate-suppression stamp, the last question
+/// anchor, the open question, the question count and a gap history —
+/// and no copy of the options: every call takes them and reads every
+/// field but `gaps`, which arrive through on_gap().
+///
+/// Gap awareness:
 ///  * a type-1 marked after_gap opens its question at reduced
 ///    confidence;
 ///  * a type-2 with a gap between it and the last question anchor
 ///    synthesizes a new low-confidence non-default question (the type-1
 ///    that should anchor it was presumably lost) instead of crediting
 ///    the override to the previous question at full confidence;
-///  * a gap near a question's decision window caps its confidence.
+///  * a gap near a question's decision window caps its confidence when
+///    the question settles.
+///
+/// A question stays open until its successor opens (on_record settles
+/// it, bounded by the successor's time) or its owner calls settle().
+/// decode_choices only settles at the end, so every gap before the
+/// successor counts; an online owner settles early — on an override, a
+/// timer or an eviction — and a gap that arrives after that can no
+/// longer cap the settled question.
+class ChoiceDecoder {
+ public:
+  /// What one record did to the decode.
+  struct Step {
+    /// The previous question, settled because this record opened its
+    /// successor.
+    std::optional<InferredQuestion> settled;
+    /// This record opened a question: a type-1, or a type-2 after a
+    /// hole, which synthesizes one.
+    bool opened = false;
+    /// This record decided the open question's choice: an override, or
+    /// a synthesized question (born non-default). No later record can
+    /// change it.
+    bool decided = false;
+  };
+
+  /// Unrecoverable loss on the viewer's upload stream, fed in time
+  /// order. At most `max_gaps` spans are kept; the oldest fall off.
+  void on_gap(GapSpan gap, std::size_t max_gaps);
+
+  /// One classified record, fed in time order after every gap at or
+  /// before its timestamp.
+  Step on_record(const ClientRecordObservation& observation, RecordClass cls,
+                 const DecodeOptions& options);
+
+  /// Close the open question and return it. Its confidence is capped
+  /// when a remembered gap lies within `gap_window` before it or
+  /// anywhere after it (before `next_question_at`, when set).
+  InferredQuestion settle(std::optional<util::SimTime> next_question_at,
+                          const DecodeOptions& options);
+
+  [[nodiscard]] bool open() const { return open_; }
+  /// The open question (meaningful while open()).
+  [[nodiscard]] const InferredQuestion& question() const { return question_; }
+  /// Questions opened so far; also the open question's index.
+  [[nodiscard]] std::size_t questions() const { return questions_; }
+
+  /// Pre-size the gap history so heap_bytes() stays fixed.
+  void reserve_gaps(std::size_t max_gaps) { gaps_.reserve(max_gaps); }
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return gaps_.capacity() * sizeof(GapSpan);
+  }
+
+ private:
+  void open_question(util::SimTime at, Step& step, const DecodeOptions& options);
+
+  /// Gap history: a time-ordered ring whose oldest span sits at
+  /// gap_head_ once it is full.
+  std::vector<GapSpan> gaps_;
+  std::size_t gap_head_ = 0;
+  std::optional<util::SimTime> last_type1_;  // duplicate suppression
+  /// The last time a question opened, by a real type-1 or a synthesized
+  /// orphan: the boundary for attributing a gap to the next override.
+  /// Separate from last_type1_ so synthesis never feeds the
+  /// duplicate-suppression window.
+  std::optional<util::SimTime> last_anchor_;
+  InferredQuestion question_;
+  std::size_t questions_ = 0;
+  bool open_ = false;
+};
+
+/// Decode a classified observation sequence (callers pass it in time
+/// order): a fold over ChoiceDecoder that feeds each record after every
+/// gap at or before its timestamp, and settles each question when its
+/// successor opens or at the end.
 InferredSession decode_choices(
     const RecordClassifier& classifier,
     const std::vector<ClientRecordObservation>& observations,

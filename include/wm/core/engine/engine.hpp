@@ -15,7 +15,7 @@
 //     PacketSource --read_batch--> dispatcher --(flow-hash)--> shards
 //       each shard: a pair of lock-free SPSC rings (inbound batches in,
 //         drained batches recycled back) -> reassemble -> TLS records
-//         -> classify -> collector (per-viewer log, sink callbacks)
+//         -> classify -> collector (per-viewer observation log)
 //     finish(): drain, join, per-viewer + combined choice decode
 //
 // The dispatcher→shard handoff is a bounded SPSC ring of PacketBatch
@@ -30,13 +30,12 @@
 // Determinism: the final EngineResult is byte-identical to the batch
 // pipeline's output on the same packets for ANY shard count, because
 // choice decoding runs on the collector's time-ordered observation log,
-// not on racy arrival order. Live sink updates are best-effort
-// snapshots (arrival order); the final result is exact.
+// not on racy arrival order. The engine emits no live events: answers
+// as they happen come from monitor::ContinuousMonitor / MonitorFleet.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,7 +43,6 @@
 
 #include "wm/core/classifier.hpp"
 #include "wm/core/decoder.hpp"
-#include "wm/core/engine/events.hpp"
 #include "wm/core/engine/source.hpp"
 #include "wm/core/engine/stats.hpp"
 #include "wm/net/reassembly.hpp"
@@ -89,7 +87,7 @@ struct EngineConfig {
   /// opened"), shard-count-invariant rollups ("engine.flows.opened"),
   /// collector totals and stage timings. Null = zero overhead. The
   /// registry must outlive the engine; snapshots may be taken from any
-  /// thread (including an EventSink callback) while the engine runs.
+  /// thread while the engine runs.
   obs::Registry* metrics = nullptr;
 };
 
@@ -108,13 +106,9 @@ struct EngineResult {
 class ShardedFlowEngine {
  public:
   /// The classifier must already be fitted and must outlive the engine;
-  /// classify() is called concurrently from worker threads. `sink` may
-  /// be null (no live events); when set it must outlive the engine and
-  /// honour the EventSink thread-safety contract (events.hpp) —
-  /// callbacks arrive from worker threads.
+  /// classify() is called concurrently from worker threads.
   explicit ShardedFlowEngine(const core::RecordClassifier& classifier,
-                             EngineConfig config = {},
-                             EventSink* sink = nullptr);
+                             EngineConfig config = {});
   ~ShardedFlowEngine();
 
   ShardedFlowEngine(const ShardedFlowEngine&) = delete;
@@ -205,7 +199,6 @@ class ShardedFlowEngine {
 
 /// One-call convenience: run `source` through an engine.
 EngineResult analyze(const core::RecordClassifier& classifier,
-                     PacketSource& source, EngineConfig config = {},
-                     EventSink* sink = nullptr);
+                     PacketSource& source, EngineConfig config = {});
 
 }  // namespace wm::engine

@@ -1,44 +1,35 @@
 // Typed event API for live inference consumers.
 //
-// The engine's original sink was a bare std::function<void(const
-// ViewerUpdate&)> that re-announced the entire running decode on every
-// classified record, leaving the consumer to diff snapshots to learn
-// what actually happened. EventSink replaces it with the four moments a
-// monitoring consumer cares about, named:
+// The live path is the continuous monitor and its fleet; the batch
+// engine calls no sink and answers once, from finish(). A monitoring
+// consumer gets the four moments it cares about, named:
 //
 //   QuestionOpened  — a type-1 marker anchored a new question for a
 //                     viewer (choice currently the default).
-//   ChoiceInferred  — a question's answer is known: an override marker
-//                     flipped it to non-default, or (continuous
-//                     monitor) its evidence window closed on the
-//                     default. `final` distinguishes the two regimes.
-//   ViewerEvicted   — the continuous monitor dropped a viewer's state
-//                     (idle timeout, memory shed, shutdown flush). The
-//                     batch engine never emits this: its viewers live
-//                     until finish().
+//   ChoiceInferred  — a question's answer is final: an override marker
+//                     flipped it to non-default, or its evidence window
+//                     closed (timer, successor question, eviction). It
+//                     is never revised.
+//   ViewerEvicted   — the monitor dropped a viewer's state (idle
+//                     timeout, memory shed, shutdown flush).
 //   GapObserved     — unrecoverable loss on a viewer's upload stream;
 //                     subsequent inferences for that viewer may carry
 //                     reduced confidence.
 //
-// THREAD-SAFETY CONTRACT. ShardedFlowEngine invokes the sink from its
-// worker threads (or the calling thread in inline mode): callbacks for
-// *different* viewers may run concurrently, so implementations must be
-// thread-safe; per-viewer question numbering is monotonic but delivery
-// order across viewers is unspecified. wm::monitor::ContinuousMonitor
-// is single-threaded and delivers every event serially from the thread
-// driving it. wm::monitor::MonitorFleet sits between the two: each
-// shard worker delivers its events directly (merge-free), so callbacks
-// run concurrently from N threads, BUT every viewer is pinned to one
-// shard — all events for one viewer arrive from one thread, serially,
-// in that viewer's capture-time order. Implementations therefore need
-// no per-viewer locking, only whole-sink thread safety; callers who
-// additionally need global capture-time order across viewers wrap the
-// sink in monitor::OrderingCollector (or FleetConfig::global_order),
-// trading emission latency for a total order. In every regime
-// callbacks run on the packet path — block in one and you stall ingest
-// (the engine's backpressure, the monitor's replay clock, a fleet
-// shard's ring). Events and any `session` pointer they carry are valid
-// only for the duration of the callback; copy what you keep.
+// THREAD-SAFETY CONTRACT. wm::monitor::ContinuousMonitor is
+// single-threaded and delivers every event serially from the thread
+// driving it. wm::monitor::MonitorFleet delivers each shard worker's
+// events directly (merge-free), so callbacks run concurrently from N
+// threads, BUT every viewer is pinned to one shard — all events for one
+// viewer arrive from one thread, serially, in that viewer's
+// capture-time order. Fleet sinks therefore need no per-viewer locking,
+// only whole-sink thread safety; callers who additionally need global
+// capture-time order across viewers wrap the sink in
+// monitor::OrderingCollector (or FleetConfig::global_order), trading
+// emission latency for a total order. Either way callbacks run on the
+// packet path — block in one and you stall ingest (the monitor's replay
+// clock, a fleet shard's ring). Events are valid only for the duration
+// of the callback; copy what you keep.
 //
 // Part of this contract is machine-checked (DESIGN.md §3.8): a sink
 // class constructed inside the fleet is wired straight into worker
@@ -50,38 +41,22 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <string_view>
-#include <utility>
 
-#include "wm/core/classifier.hpp"
 #include "wm/core/decoder.hpp"
 #include "wm/util/time.hpp"
 
 namespace wm::engine {
-
-/// One live inference update for one viewer (the legacy snapshot-diff
-/// shape, kept for CallbackSink compatibility).
-struct ViewerUpdate {
-  std::string client;             // viewer address (collector key)
-  core::RecordClass record_class; // what just fired
-  std::uint16_t record_length = 0;
-  util::SimTime at;               // record timestamp
-  core::InferredSession session;  // running decode snapshot
-};
 
 struct QuestionOpenedEvent {
   // wm-lint: allow(borrow): events are callback-scoped by contract (see
   // header comment); consumers copy what they keep.
   std::string_view client;
   /// The question as currently decoded: choice is the default until a
-  /// ChoiceInferred follows for the same index.
+  /// ChoiceInferred follows for the same index — except a question
+  /// synthesized from an orphaned type-2, which is born non-default.
   core::InferredQuestion question;
-  std::uint16_t record_length = 0;  // the anchoring type-1 record
-  /// Running decode snapshot for this viewer; may be null (continuous
-  /// monitor viewers shed their history). Callback-scoped.
-  const core::InferredSession* session = nullptr;
+  std::uint16_t record_length = 0;  // the anchoring record
 };
 
 struct ChoiceInferredEvent {
@@ -89,17 +64,12 @@ struct ChoiceInferredEvent {
   // QuestionOpenedEvent.
   std::string_view client;
   core::InferredQuestion question;
-  /// The record that settled it (0 when a timer, not a record, closed
-  /// the evidence window).
+  /// The record that settled it (0 when a timer, a successor question
+  /// or an eviction closed the evidence window).
   std::uint16_t record_length = 0;
   /// Emission time: the settling record's timestamp, or the evidence
   /// window deadline for timer closes.
   util::SimTime at;
-  /// True when the evidence window is closed and this answer will not
-  /// be revised (continuous monitor). The batch engine emits running
-  /// overrides with final=false; its finish() result is authoritative.
-  bool final = false;
-  const core::InferredSession* session = nullptr;  // see QuestionOpenedEvent
 };
 
 struct ViewerEvictedEvent {
@@ -133,46 +103,6 @@ class EventSink {
   virtual void on_choice_inferred(const ChoiceInferredEvent&) {}
   virtual void on_viewer_evicted(const ViewerEvictedEvent&) {}
   virtual void on_gap_observed(const GapObservedEvent&) {}
-};
-
-/// Legacy callback shape.
-using SessionCallback = std::function<void(const ViewerUpdate&)>;
-
-/// Compatibility adapter: wraps a SessionCallback as an EventSink,
-/// synthesizing the old per-record ViewerUpdate (QuestionOpened maps to
-/// a type-1 update, ChoiceInferred to a type-2). The callback inherits
-/// the sink's thread-safety obligations. Updates carry a copy of the
-/// running snapshot when the producer supplies one, an empty session
-/// otherwise.
-class CallbackSink final : public EventSink {
- public:
-  explicit CallbackSink(SessionCallback callback)
-      : callback_(std::move(callback)) {}
-
-  void on_question_opened(const QuestionOpenedEvent& event) override {
-    if (!callback_) return;
-    ViewerUpdate update;
-    update.client = std::string(event.client);
-    update.record_class = core::RecordClass::kType1Json;
-    update.record_length = event.record_length;
-    update.at = event.question.question_time;
-    if (event.session != nullptr) update.session = *event.session;
-    callback_(update);
-  }
-
-  void on_choice_inferred(const ChoiceInferredEvent& event) override {
-    if (!callback_) return;
-    ViewerUpdate update;
-    update.client = std::string(event.client);
-    update.record_class = core::RecordClass::kType2Json;
-    update.record_length = event.record_length;
-    update.at = event.at;
-    if (event.session != nullptr) update.session = *event.session;
-    callback_(update);
-  }
-
- private:
-  const SessionCallback callback_;
 };
 
 }  // namespace wm::engine

@@ -9,7 +9,8 @@
 //
 // whose options carry every knob that used to multiply overloads:
 // per-client splitting, story-graph path reconstruction, shard count
-// for the streaming engine, flow eviction, and a live event sink.
+// for the streaming engine, and flow eviction. Live per-viewer events
+// come from monitor::ContinuousMonitor / MonitorFleet, not from here.
 // File-based inference goes through infer_capture(), which reports
 // typed errors. The historic vector/path convenience overloads are
 // gone; wrap a vector in engine::VectorSource and set
@@ -61,11 +62,6 @@ struct InferOptions {
   /// lossy captures; shrink the windows to trade recovery latency for
   /// memory on heavily impaired taps.
   net::TcpStreamReassembler::Config reassembly;
-  /// Live typed per-viewer events (question opened / choice inferred /
-  /// gap observed) as records are analyzed. Must outlive the infer call
-  /// and honour the EventSink thread-safety contract (engine/events.hpp)
-  /// when shards > 0. Null = no live events.
-  engine::EventSink* sink = nullptr;
   /// Observability (wm::obs): registry every stage reports into —
   /// pipeline decode totals, engine per-shard/rollup counters, capture
   /// source counters, stage timings. Null (the default) means no

@@ -18,8 +18,9 @@
 // ContinuousMonitor is the single-threaded composition of those parts:
 // one TLS record-stream extractor, one hierarchical timer wheel
 // (flow-idle sweeps, viewer-idle eviction, per-question evidence
-// windows), and an incremental per-viewer decoder that mirrors
-// core::decode_choices observation for observation. Events leave
+// windows), and one core::ChoiceDecoder per viewer — the decoder
+// core::decode_choices folds over, so both apply the same rule
+// observation for observation. Events leave
 // through the typed engine::EventSink the moment they are known, on
 // the calling thread, serially.
 //
@@ -29,7 +30,9 @@
 // its question (the window closing is what makes an answer final), and
 // (b) the viewer was not shed by a memory ceiling. Confidence values
 // match except for gaps that arrive only after a question's window
-// already closed — the batch post-pass sees those, an online emitter
+// already closed: the monitor settles a question early (override,
+// timer, eviction), while decode_choices settles it only when its
+// successor opens, so it still sees those gaps and an online emitter
 // cannot. Shard the engine for throughput; run the monitor for
 // latency-bounded answers.
 #pragma once

@@ -21,17 +21,116 @@ void taint(InferredQuestion& question, double confidence, const char* tag) {
 }
 
 /// Any gap strictly after `after` (or anywhere, when unset) and at or
-/// before `until`? `gaps` must be sorted by time.
-bool gap_between(const std::vector<GapSpan>& gaps,
+/// before `until`? `gaps` is a time-ordered ring starting at `head`.
+bool gap_between(const std::vector<GapSpan>& gaps, std::size_t head,
                  std::optional<util::SimTime> after, util::SimTime until) {
-  for (const GapSpan& gap : gaps) {
+  for (std::size_t i = 0; i < gaps.size(); ++i) {
+    const GapSpan& gap = gaps[(head + i) % gaps.size()];
     if (gap.at > until) break;
     if (!after || gap.at > *after) return true;
   }
   return false;
 }
 
+/// Any gap at or after `start` and before `before` (when set)? Same
+/// ring as gap_between.
+bool gap_in_window(const std::vector<GapSpan>& gaps, std::size_t head,
+                   util::SimTime start, std::optional<util::SimTime> before) {
+  for (std::size_t i = 0; i < gaps.size(); ++i) {
+    const GapSpan& gap = gaps[(head + i) % gaps.size()];
+    if (before && gap.at >= *before) break;
+    if (gap.at >= start) return true;
+  }
+  return false;
+}
+
 }  // namespace
+
+void ChoiceDecoder::on_gap(GapSpan gap, std::size_t max_gaps) {
+  if (max_gaps == 0) return;
+  if (gaps_.size() < max_gaps) {
+    gaps_.push_back(gap);
+  } else {
+    gaps_[gap_head_] = gap;
+    gap_head_ = (gap_head_ + 1) % max_gaps;
+  }
+}
+
+void ChoiceDecoder::open_question(util::SimTime at, Step& step,
+                                  const DecodeOptions& options) {
+  // A successor settles its predecessor: overrides only ever attach to
+  // the most recent question.
+  if (open_) step.settled = settle(at, options);
+  last_anchor_ = at;
+  question_ = InferredQuestion{};
+  question_.index = ++questions_;
+  question_.question_time = at;
+  open_ = true;
+  step.opened = true;
+}
+
+ChoiceDecoder::Step ChoiceDecoder::on_record(
+    const ClientRecordObservation& observation, RecordClass cls,
+    const DecodeOptions& options) {
+  Step step;
+  const util::SimTime at = observation.timestamp;
+  switch (cls) {
+    case RecordClass::kType1Json:
+      // Suppress duplicates (retransmission artifacts, band misfires).
+      if (last_type1_ && at - *last_type1_ < options.min_question_gap) break;
+      last_type1_ = at;
+      open_question(at, step, options);  // default until a type-2 shows
+      if (observation.after_gap) {
+        taint(question_, options.after_gap_confidence, "type1_after_gap");
+      }
+      break;
+    case RecordClass::kType2Json:
+      if (gap_between(gaps_, gap_head_, last_anchor_, at) ||
+          (questions_ == 0 && observation.after_gap)) {
+        // A hole sits between the last question anchor and this
+        // override: the type-1 that should anchor it was presumably
+        // lost in the gap. Synthesize the question at low confidence
+        // rather than crediting the override to the previous question
+        // at full strength.
+        open_question(at, step, options);
+        question_.choice = story::Choice::kNonDefault;
+        question_.override_time = at;
+        taint(question_, options.after_gap_confidence,
+              "type2_presumed_lost_type1");
+        step.decided = true;
+        break;
+      }
+      // Stray (nothing to attach to, or already settled), or not the
+      // first override of its question: only the first counts.
+      if (!open_ || question_.choice != story::Choice::kDefault) break;
+      question_.choice = story::Choice::kNonDefault;
+      question_.override_time = at;
+      if (observation.after_gap) {
+        taint(question_, options.after_gap_confidence, "type2_after_gap");
+      }
+      step.decided = true;
+      break;
+    case RecordClass::kOther:
+      break;
+  }
+  return step;
+}
+
+InferredQuestion ChoiceDecoder::settle(
+    std::optional<util::SimTime> next_question_at,
+    const DecodeOptions& options) {
+  open_ = false;
+  InferredQuestion question = std::move(question_);
+  // A gap shortly before the question appeared, or anywhere before the
+  // next one, may have swallowed one of its markers (most importantly a
+  // lost override).
+  if (gap_in_window(gaps_, gap_head_,
+                    question.question_time - options.gap_window,
+                    next_question_at)) {
+    taint(question, options.gap_window_confidence, "gap_in_window");
+  }
+  return question;
+}
 
 InferredSession decode_choices(
     const RecordClassifier& classifier,
@@ -44,85 +143,24 @@ InferredSession decode_choices(
     return a.bytes < b.bytes;
   });
 
-  std::optional<util::SimTime> last_type1;
-  // The last time a question was created (by a real type-1 *or* by a
-  // synthesized orphan). Separate from last_type1 so synthesis never
-  // feeds the duplicate-suppression window.
-  std::optional<util::SimTime> last_anchor;
-
+  ChoiceDecoder decoder;
+  auto next_gap = gaps.cbegin();
   for (const ClientRecordObservation& obs : observations) {
+    for (; next_gap != gaps.cend() && next_gap->at <= obs.timestamp; ++next_gap) {
+      decoder.on_gap(*next_gap, gaps.size());
+    }
     const RecordClass cls = classifier.classify(obs.record_length);
     switch (cls) {
-      case RecordClass::kType1Json: {
-        ++out.type1_records;
-        // Suppress duplicates (retransmission artifacts).
-        if (last_type1 && obs.timestamp - *last_type1 < options.min_question_gap) break;
-        last_type1 = obs.timestamp;
-        last_anchor = obs.timestamp;
-        InferredQuestion question;
-        question.index = out.questions.size() + 1;
-        question.question_time = obs.timestamp;
-        question.choice = story::Choice::kDefault;  // until a type-2 shows
-        if (obs.after_gap) {
-          taint(question, options.after_gap_confidence, "type1_after_gap");
-        }
-        out.questions.push_back(std::move(question));
-        break;
-      }
-      case RecordClass::kType2Json: {
-        ++out.type2_records;
-        const bool hole_since_anchor =
-            gap_between(gaps, last_anchor, obs.timestamp);
-        if (hole_since_anchor || (out.questions.empty() && obs.after_gap)) {
-          // A hole sits between the last question anchor and this
-          // override: the type-1 that should anchor it was presumably
-          // lost in the gap. Synthesize the question at low confidence
-          // rather than crediting the override to the previous question
-          // at full strength.
-          InferredQuestion question;
-          question.index = out.questions.size() + 1;
-          question.question_time = obs.timestamp;
-          question.choice = story::Choice::kNonDefault;
-          question.override_time = obs.timestamp;
-          taint(question, options.after_gap_confidence,
-                "type2_presumed_lost_type1");
-          out.questions.push_back(std::move(question));
-          last_anchor = obs.timestamp;
-          break;
-        }
-        if (out.questions.empty()) break;  // stray; nothing to attach to
-        InferredQuestion& current = out.questions.back();
-        // Only the first override of a question counts.
-        if (current.choice == story::Choice::kDefault) {
-          current.choice = story::Choice::kNonDefault;
-          current.override_time = obs.timestamp;
-          if (obs.after_gap) {
-            taint(current, options.after_gap_confidence, "type2_after_gap");
-          }
-        }
-        break;
-      }
-      case RecordClass::kOther:
-        ++out.other_records;
-        break;
+      case RecordClass::kType1Json: ++out.type1_records; break;
+      case RecordClass::kType2Json: ++out.type2_records; break;
+      case RecordClass::kOther: ++out.other_records; break;
     }
+    ChoiceDecoder::Step step = decoder.on_record(obs, cls, options);
+    if (step.settled) out.questions.push_back(std::move(*step.settled));
   }
-
-  // Post-pass: a gap shortly before a question appeared, or anywhere
-  // before the next question, may have swallowed one of its markers
-  // (most importantly a lost override) — cap the confidence.
-  for (std::size_t i = 0; i < out.questions.size(); ++i) {
-    InferredQuestion& question = out.questions[i];
-    const util::SimTime start = question.question_time - options.gap_window;
-    for (const GapSpan& gap : gaps) {
-      if (gap.at < start) continue;
-      if (i + 1 < out.questions.size() &&
-          gap.at >= out.questions[i + 1].question_time) {
-        break;
-      }
-      taint(question, options.gap_window_confidence, "gap_in_window");
-      break;
-    }
+  for (; next_gap != gaps.cend(); ++next_gap) decoder.on_gap(*next_gap, gaps.size());
+  if (decoder.open()) {
+    out.questions.push_back(decoder.settle(std::nullopt, options));
   }
   return out;
 }

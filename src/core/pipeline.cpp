@@ -41,7 +41,7 @@ InferReport AttackPipeline::infer(engine::PacketSource& source,
   config.reassembly = options.reassembly;
   config.metrics = registry;
   engine::EngineResult result =
-      engine::analyze(*classifier_, source, config, options.sink);
+      engine::analyze(*classifier_, source, config);
 
   InferReport report;
   report.combined = std::move(result.combined);

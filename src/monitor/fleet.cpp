@@ -54,7 +54,6 @@ struct OwnedEvent {
   std::string client;
   core::InferredQuestion question;
   std::uint16_t record_length = 0;
-  bool final_answer = false;
   util::SimTime at;
   engine::ViewerEvictedEvent::Reason reason =
       engine::ViewerEvictedEvent::Reason::kIdle;
@@ -97,7 +96,6 @@ struct OrderingCollector::Impl {
       owned.client = std::string(event.client);
       owned.question = event.question;
       owned.record_length = event.record_length;
-      owned.final_answer = event.final;
       owned.at = event.at;
       impl_->deliver(shard_, std::move(owned));
     }
@@ -192,7 +190,6 @@ struct OrderingCollector::Impl {
         out.question = event.question;
         out.record_length = event.record_length;
         out.at = event.at;
-        out.final = event.final_answer;
         downstream.on_choice_inferred(out);
         break;
       }

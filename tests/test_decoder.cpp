@@ -172,6 +172,43 @@ TEST(Decoder, GapInsideQuestionWindowCapsConfidence) {
             std::string::npos);
 }
 
+TEST(Decoder, GapAfterEarlySettleCapsOnlyTheFold) {
+  // Q1 opens at 1.0 and is overridden at 2.0; a gap lands at 3.0,
+  // before Q2 opens at 5.0. The fold settles Q1 only when Q2 opens, so
+  // the gap still caps it. A decoder settled at the override (as the
+  // monitor does) has not seen the gap yet and keeps full confidence.
+  FixedClassifier clf;
+  DecodeOptions options;
+  options.gaps = {gap_at(3.0, 1400)};
+  const std::vector<ClientRecordObservation> observations = {
+      obs(1.0, 2212), obs(2.0, 3000), obs(5.0, 2212)};
+  const auto folded = decode_choices(clf, observations, options);
+  ASSERT_EQ(folded.questions.size(), 2u);
+  EXPECT_EQ(folded.questions[0].choice, story::Choice::kNonDefault);
+  EXPECT_DOUBLE_EQ(folded.questions[0].confidence, 0.6);
+  EXPECT_EQ(folded.questions[0].evidence, "gap_in_window");
+
+  ChoiceDecoder decoder;
+  EXPECT_TRUE(decoder.on_record(observations[0], RecordClass::kType1Json,
+                                options).opened);
+  const ChoiceDecoder::Step override_step =
+      decoder.on_record(observations[1], RecordClass::kType2Json, options);
+  ASSERT_TRUE(override_step.decided);
+  const InferredQuestion settled = decoder.settle(std::nullopt, options);
+  EXPECT_FALSE(decoder.open());
+  decoder.on_gap(options.gaps[0], 16);
+  EXPECT_EQ(settled.index, 1u);
+  EXPECT_EQ(settled.choice, story::Choice::kNonDefault);
+  EXPECT_DOUBLE_EQ(settled.confidence, 1.0);
+  EXPECT_TRUE(settled.evidence.empty());
+  // The next question opens with nothing left to settle.
+  const ChoiceDecoder::Step next =
+      decoder.on_record(observations[2], RecordClass::kType1Json, options);
+  EXPECT_TRUE(next.opened);
+  EXPECT_FALSE(next.settled.has_value());
+  EXPECT_EQ(decoder.question().index, 2u);
+}
+
 TEST(Decoder, DefaultOptionsReproduceHistoricalDecode) {
   // With no gaps and no after_gap taints the gap-aware overload must
   // be byte-equivalent to the historical min_question_gap entry point.

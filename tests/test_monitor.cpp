@@ -51,7 +51,6 @@ struct CollectingSink final : engine::EventSink {
   struct Emitted {
     core::InferredQuestion question;
     util::SimTime at;
-    bool final = false;
   };
   std::map<std::string, std::vector<Emitted>> choices;
   std::map<std::string, std::size_t> opened;
@@ -64,7 +63,7 @@ struct CollectingSink final : engine::EventSink {
   }
   void on_choice_inferred(const engine::ChoiceInferredEvent& event) override {
     choices[std::string(event.client)].push_back(
-        Emitted{event.question, event.at, event.final});
+        Emitted{event.question, event.at});
   }
   void on_viewer_evicted(const engine::ViewerEvictedEvent& event) override {
     evictions.emplace_back(std::string(event.client), event.reason);
@@ -108,7 +107,6 @@ TEST(Monitor, OnlineEmissionsMatchBatchDecode) {
               batch.questions[i].question_time.nanos()) << i;
     EXPECT_NEAR(emitted[i].question.confidence, batch.questions[i].confidence,
                 1e-12) << i;
-    EXPECT_TRUE(emitted[i].final) << i;
     // Answers are emitted no later than the evidence window closes.
     EXPECT_LE((emitted[i].at - emitted[i].question.question_time).total_nanos(),
               util::Duration::seconds(12).total_nanos()) << i;

@@ -39,7 +39,6 @@ struct FleetSink final : engine::EventSink {
   struct Emitted {
     core::InferredQuestion question;
     std::int64_t at_nanos = 0;
-    bool final = false;
   };
   struct Eviction {
     engine::ViewerEvictedEvent::Reason reason{};
@@ -69,7 +68,7 @@ struct FleetSink final : engine::EventSink {
   void on_choice_inferred(const engine::ChoiceInferredEvent& event) override {
     const std::lock_guard<std::mutex> lock(mu);
     choices[std::string(event.client)].push_back(
-        Emitted{event.question, event.at.nanos(), event.final});
+        Emitted{event.question, event.at.nanos()});
     delivery_times.push_back({event.at.nanos(), false});
   }
   void on_viewer_evicted(const engine::ViewerEvictedEvent& event) override {
@@ -199,8 +198,6 @@ void expect_equal_streams(const FleetSink& fleet, const FleetSink& reference,
                   1e-12)
           << label << " client " << client << " question " << i;
       EXPECT_EQ(got[i].at_nanos, expected[i].at_nanos)
-          << label << " client " << client << " question " << i;
-      EXPECT_EQ(got[i].final, expected[i].final)
           << label << " client " << client << " question " << i;
     }
   }

@@ -22,7 +22,7 @@
 //   stability  every obs metric registration names its Stability class
 //              explicitly (src/ and include/ only).
 //   mutex      no std::mutex declarations in hot-path files (engine /
-//              spsc_ring / buffer_pool) outside suppressed sites.
+//              spsc_ring) outside suppressed sites.
 //   suppression malformed (reason-less) or unused allow() comments.
 //
 // Suppressions: `// wm-lint: allow(<rule>): <reason>` on the offending

@@ -63,7 +63,7 @@ class LineSink final : public engine::EventSink {
                 event.record_length);
   }
   void on_choice_inferred(const engine::ChoiceInferredEvent& event) override {
-    if (quiet_ || !event.final) return;
+    if (quiet_) return;
     std::printf("%s choice   client=%s q=%zu branch=%s confidence=%.2f\n",
                 event.at.to_string().c_str(),
                 std::string(event.client).c_str(), event.question.index,
